@@ -11,17 +11,18 @@
 //!    perfectly legitimate sends, which is what actually decides whether a
 //!    wallet vendor ships the warning.
 //!
-//! Two policies are evaluated: the paper's recent-registration/expiry
-//! warning, and a forward-and-back (reverse-record) check that exploits how
-//! rarely dropcatchers claim primary names.
+//! Four policies are scored in one pass: the paper's recent-registration/
+//! expiry warning, its history-aware variant, a forward-and-back (reverse
+//! record) check that exploits how rarely dropcatchers claim primary names,
+//! and the first and third combined.
 
 use std::collections::HashSet;
 
 use ens_types::{Address, Duration, Timestamp};
 use serde::{Deserialize, Serialize};
-use wallet_sim::{production_wallets, ResolutionContext, WalletProfile, WarningPolicy};
+use wallet_sim::{production_wallets, ResolutionContext, WarningPolicy};
 
-use crate::dataset::Dataset;
+use crate::dataset::{primary_name_in, Dataset};
 use crate::index::AnalysisIndex;
 use crate::losses::LossReport;
 
@@ -131,54 +132,80 @@ pub fn canonical_expired_context() -> ResolutionContext {
     }
 }
 
-fn wallet_with(policy: WarningPolicy) -> WalletProfile {
-    WalletProfile {
-        policy,
-        ..production_wallets().remove(0)
-    }
+/// The four policies in report order: naive freshness, history-aware
+/// re-registration, reverse check, and the first and third combined.
+fn policies(window: Duration) -> [WarningPolicy; 4] {
+    [
+        WarningPolicy::WarnOnRisk {
+            recent_window: window,
+        },
+        WarningPolicy::WarnOnRecentOwnerChange {
+            recent_window: window,
+        },
+        WarningPolicy::WarnOnReverseMismatch,
+        WarningPolicy::WarnOnRiskOrReverseMismatch {
+            recent_window: window,
+        },
+    ]
 }
 
-/// Evaluates one policy against every misdirected transaction (interception)
-/// and every legitimate incoming transaction (annoyance). With an
-/// [`AnalysisIndex`] the tenure-window scans of the annoyance loop are
-/// binary-search slices; without one they are the naive full-vector
-/// filters of the seed (kept as the equivalence baseline).
-fn evaluate_policy(
+/// Scores every policy against every misdirected transaction (interception)
+/// and every legitimate incoming transaction (annoyance) in one walk: each
+/// transaction's [`ResolutionContext`] is built once, each tenure scanned
+/// and each reverse-claim history looked up once per registration. USD sums
+/// accumulate in finding → sender → transfer order, as one run per policy
+/// would. With an [`AnalysisIndex`] the annoyance loop's tenure scans are
+/// binary-search slices; without one they are the seed's full-vector
+/// filters (kept as the equivalence baseline).
+fn evaluate_policies(
     losses: &LossReport,
     dataset: &Dataset,
     index: Option<&AnalysisIndex>,
-    policy: WarningPolicy,
-) -> PolicyOutcome {
-    let wallet = wallet_with(policy);
-    let mut outcome = PolicyOutcome::default();
+    policies: &[WarningPolicy; 4],
+) -> [PolicyOutcome; 4] {
+    let mut outcomes = [PolicyOutcome::default(); 4];
+    // `Some(usd)` scores a misdirected send, `None` a legitimate one.
+    let mut score = |ctx: &ResolutionContext, misdirected_usd: Option<f64>| {
+        for (policy, outcome) in policies.iter().zip(&mut outcomes) {
+            let warns = policy.evaluate(ctx).is_some();
+            match misdirected_usd {
+                Some(usd) => {
+                    outcome.misdirected_txs += 1;
+                    outcome.misdirected_usd += usd;
+                    if warns {
+                        outcome.flagged_txs += 1;
+                        outcome.flagged_usd += usd;
+                    }
+                }
+                None => {
+                    outcome.legit_txs += 1;
+                    outcome.false_positive_txs += usize::from(warns);
+                }
+            }
+        }
+    };
 
     // --- Interception over the flagged misdirected transfers. ---
     let mut flagged_set: HashSet<(Address, u64)> = HashSet::new();
     for finding in &losses.findings {
         let name = finding.name.as_deref();
+        let claims = dataset.reverse_claims_of(finding.new_owner);
         for sender in &finding.senders {
             if sender.kind == crate::losses::SenderKind::OtherCustodial {
                 continue;
             }
             for &(send_time, usd) in &sender.transfers_to_new {
                 flagged_set.insert((sender.sender, send_time.0));
-                let reverse_matches =
-                    name.map(|n| dataset.primary_name_at(finding.new_owner, send_time) == Some(n));
                 let ctx = ResolutionContext {
                     resolved: Some(finding.new_owner),
                     expiry: None,
                     registered_at: Some(finding.caught_at),
                     // Misdirected sends by definition follow a catch.
                     owner_changed_at: Some(finding.caught_at),
-                    reverse_matches,
+                    reverse_matches: name.map(|n| primary_name_in(claims, send_time) == Some(n)),
                     now: send_time,
                 };
-                outcome.misdirected_txs += 1;
-                outcome.misdirected_usd += usd;
-                if wallet.displays_warning(&ctx) {
-                    outcome.flagged_txs += 1;
-                    outcome.flagged_usd += usd;
-                }
+                score(&ctx, Some(usd));
             }
         }
     }
@@ -200,25 +227,22 @@ fn evaluate_policy(
                 && crate::registrations::effective_owner_at_expiry(domain, idx - 1)
                     != Some(reg.owner))
             .then_some(reg.registered_at);
+            let claims = dataset.reverse_claims_of(reg.owner);
             let mut eval_tx = |from: Address, at: Timestamp| {
                 if flagged_set.contains(&(from, at.0)) {
                     return;
                 }
-                let reverse_matches = name
-                    .as_deref()
-                    .map(|n| dataset.primary_name_at(reg.owner, at) == Some(n));
                 let ctx = ResolutionContext {
                     resolved: Some(reg.owner),
                     expiry: Some(expiry),
                     registered_at: Some(reg.registered_at),
                     owner_changed_at,
-                    reverse_matches,
+                    reverse_matches: name
+                        .as_deref()
+                        .map(|n| primary_name_in(claims, at) == Some(n)),
                     now: at,
                 };
-                outcome.legit_txs += 1;
-                if wallet.displays_warning(&ctx) {
-                    outcome.false_positive_txs += 1;
-                }
+                score(&ctx, None);
             };
             let tenure = Some((reg.registered_at, window_end));
             match index {
@@ -236,7 +260,7 @@ fn evaluate_policy(
         }
     }
 
-    outcome
+    outcomes
 }
 
 /// Evaluates the proposed countermeasure (and the reverse-check variant)
@@ -266,32 +290,8 @@ fn evaluate_countermeasure_inner(
     index: Option<&AnalysisIndex>,
     window: Duration,
 ) -> CountermeasureReport {
-    let risk_policy = evaluate_policy(
-        losses,
-        dataset,
-        index,
-        WarningPolicy::WarnOnRisk {
-            recent_window: window,
-        },
-    );
-    let rereg_policy = evaluate_policy(
-        losses,
-        dataset,
-        index,
-        WarningPolicy::WarnOnRecentOwnerChange {
-            recent_window: window,
-        },
-    );
-    let reverse_policy =
-        evaluate_policy(losses, dataset, index, WarningPolicy::WarnOnReverseMismatch);
-    let combined_policy = evaluate_policy(
-        losses,
-        dataset,
-        index,
-        WarningPolicy::WarnOnRiskOrReverseMismatch {
-            recent_window: window,
-        },
-    );
+    let [risk_policy, rereg_policy, reverse_policy, combined_policy] =
+        evaluate_policies(losses, dataset, index, &policies(window));
     CountermeasureReport {
         table2: table2(&canonical_expired_context()),
         misdirected_txs: risk_policy.misdirected_txs,
@@ -307,9 +307,12 @@ fn evaluate_countermeasure_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::Dataset;
+    use crate::crawl::FailurePolicy;
+    use crate::dataset::{CrawlConfig, Dataset};
     use crate::losses::analyze_losses;
     use ens_subgraph::SubgraphConfig;
+    use ens_types::FaultProfile;
+    use wallet_sim::WalletProfile;
     use workload::WorldConfig;
 
     fn setup() -> (Dataset, LossReport) {
@@ -319,6 +322,149 @@ mod tests {
         let ds = Dataset::collect(&sg, &scan, world.opensea(), world.observation_end());
         let losses = analyze_losses(&ds, world.oracle());
         (ds, losses)
+    }
+
+    fn wallet_with(policy: WarningPolicy) -> WalletProfile {
+        WalletProfile {
+            policy,
+            ..production_wallets().remove(0)
+        }
+    }
+
+    /// The one-policy-per-run evaluator the fused pass replaced, kept as
+    /// the reference it must reproduce exactly.
+    fn evaluate_policy(
+        losses: &LossReport,
+        dataset: &Dataset,
+        index: Option<&AnalysisIndex>,
+        policy: WarningPolicy,
+    ) -> PolicyOutcome {
+        let wallet = wallet_with(policy);
+        let mut outcome = PolicyOutcome::default();
+
+        let mut flagged_set: HashSet<(Address, u64)> = HashSet::new();
+        for finding in &losses.findings {
+            let name = finding.name.as_deref();
+            for sender in &finding.senders {
+                if sender.kind == crate::losses::SenderKind::OtherCustodial {
+                    continue;
+                }
+                for &(send_time, usd) in &sender.transfers_to_new {
+                    flagged_set.insert((sender.sender, send_time.0));
+                    let reverse_matches = name
+                        .map(|n| dataset.primary_name_at(finding.new_owner, send_time) == Some(n));
+                    let ctx = ResolutionContext {
+                        resolved: Some(finding.new_owner),
+                        expiry: None,
+                        registered_at: Some(finding.caught_at),
+                        owner_changed_at: Some(finding.caught_at),
+                        reverse_matches,
+                        now: send_time,
+                    };
+                    outcome.misdirected_txs += 1;
+                    outcome.misdirected_usd += usd;
+                    if wallet.displays_warning(&ctx) {
+                        outcome.flagged_txs += 1;
+                        outcome.flagged_usd += usd;
+                    }
+                }
+            }
+        }
+
+        for domain in &dataset.domains {
+            let name = domain.name.as_ref().map(|n| n.to_full());
+            for (idx, reg) in domain.registrations.iter().enumerate() {
+                let Some(expiry) = domain.expiry_of_registration(idx) else {
+                    continue;
+                };
+                let window_end = expiry.min(dataset.observation_end);
+                if reg.registered_at >= window_end {
+                    continue;
+                }
+                let owner_changed_at = (idx > 0
+                    && crate::registrations::effective_owner_at_expiry(domain, idx - 1)
+                        != Some(reg.owner))
+                .then_some(reg.registered_at);
+                let mut eval_tx = |from: Address, at: Timestamp| {
+                    if flagged_set.contains(&(from, at.0)) {
+                        return;
+                    }
+                    let reverse_matches = name
+                        .as_deref()
+                        .map(|n| dataset.primary_name_at(reg.owner, at) == Some(n));
+                    let ctx = ResolutionContext {
+                        resolved: Some(reg.owner),
+                        expiry: Some(expiry),
+                        registered_at: Some(reg.registered_at),
+                        owner_changed_at,
+                        reverse_matches,
+                        now: at,
+                    };
+                    outcome.legit_txs += 1;
+                    if wallet.displays_warning(&ctx) {
+                        outcome.false_positive_txs += 1;
+                    }
+                };
+                let tenure = Some((reg.registered_at, window_end));
+                match index {
+                    Some(ix) => {
+                        for tx in ix.incoming(reg.owner, tenure) {
+                            eval_tx(tx.from, tx.timestamp);
+                        }
+                    }
+                    None => {
+                        for tx in dataset.incoming(reg.owner, tenure) {
+                            eval_tx(tx.from, tx.timestamp);
+                        }
+                    }
+                }
+            }
+        }
+
+        outcome
+    }
+
+    #[test]
+    fn fused_pass_equals_one_run_per_policy() {
+        let world = WorldConfig::small().with_seed(81).build();
+        let sg = world.subgraph(SubgraphConfig::default());
+        let scan = world.etherscan();
+        let collect = |config: &CrawlConfig| {
+            Dataset::try_collect_with(&sg, &scan, world.opensea(), world.observation_end(), config)
+                .expect("degrade policy completes under chaos")
+                .0
+        };
+        let clean = collect(&CrawlConfig::default());
+        let chaotic = collect(&CrawlConfig {
+            chaos: FaultProfile::named("mixed", 42),
+            failure: FailurePolicy::degrade(),
+            subgraph_page_size: 32,
+            txlist_page_size: 16,
+            market_page_size: 8,
+            ..CrawlConfig::default()
+        });
+        assert!(chaotic.crawl_report.degraded);
+        for ds in [&clean, &chaotic] {
+            let losses = analyze_losses(ds, world.oracle());
+            assert!(!losses.findings.is_empty());
+            let index = AnalysisIndex::build(ds, world.oracle());
+            for days in [0, 30, 90, 365] {
+                let window = Duration::from_days(days);
+                for ix in [None, Some(&index)] {
+                    let fused = evaluate_policies(&losses, ds, ix, &policies(window));
+                    let separate = policies(window).map(|p| evaluate_policy(&losses, ds, ix, p));
+                    // Debug formatting tells apart every f64 bit pattern
+                    // that `==` would conflate (0.0 vs -0.0).
+                    assert_eq!(
+                        format!("{fused:?}"),
+                        format!("{separate:?}"),
+                        "{days}-day window, indexed: {}",
+                        ix.is_some()
+                    );
+                    assert!(fused[0].legit_txs > 0 && fused[0].misdirected_txs > 0);
+                }
+            }
+        }
     }
 
     #[test]

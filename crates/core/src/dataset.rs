@@ -565,11 +565,14 @@ impl Dataset {
 
     /// The primary name `address` had claimed as of time `t`.
     pub fn primary_name_at(&self, address: Address, t: Timestamp) -> Option<&str> {
-        self.reverse_claims
-            .get(&address)?
-            .iter()
-            .rfind(|(at, _)| *at <= t)
-            .map(|(_, name)| name.as_str())
+        primary_name_in(self.reverse_claims_of(address), t)
+    }
+
+    /// `address`'s reverse-claim history (empty if it never claimed a
+    /// primary name) — one map lookup that callers asking about many
+    /// times for the same address hoist out of their loop.
+    pub(crate) fn reverse_claims_of(&self, address: Address) -> &[(Timestamp, String)] {
+        self.reverse_claims.get(&address).map_or(&[], Vec::as_slice)
     }
 
     /// Number of distinct senders to `address` in a window.
@@ -605,6 +608,15 @@ impl Dataset {
     pub fn from_json(s: &str) -> serde_json::Result<Dataset> {
         serde_json::from_str(s)
     }
+}
+
+/// The primary name a reverse-claim history (see
+/// [`Dataset::reverse_claims_of`]) had in force as of time `t`.
+pub(crate) fn primary_name_in(claims: &[(Timestamp, String)], t: Timestamp) -> Option<&str> {
+    claims
+        .iter()
+        .rfind(|(at, _)| *at <= t)
+        .map(|(_, name)| name.as_str())
 }
 
 /// The shared tail of every collection path: concatenate gaps, build the

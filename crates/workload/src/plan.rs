@@ -834,7 +834,9 @@ impl<'a> Planner<'a> {
     ) {
         let cfg = self.cfg;
         let window_end = Timestamp((catch_t.0 + 330 * 86_400).min(obs_end.0 - 86_400));
-        if window_end <= catch_t {
+        // Sends start an hour after the catch; a window no longer than that
+        // leaves nothing to sample from.
+        if window_end <= catch_t + Duration::from_secs(3600) {
             return;
         }
         let n_common = (1 + geometric(&mut self.rng, 0.5) as usize).min(senders.len());
