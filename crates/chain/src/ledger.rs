@@ -1,9 +1,11 @@
 //! The ledger: account balances, a monotone clock, and an append-only
 //! transaction log.
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
-use ens_types::{Address, BlockNumber, Duration, Timestamp, TxHash, Wei, SECONDS_PER_BLOCK};
+use ens_types::{
+    Address, BlockNumber, Duration, FastMap, Timestamp, TxHash, Wei, SECONDS_PER_BLOCK,
+};
 use serde::{Deserialize, Serialize};
 
 use crate::error::ChainError;
@@ -41,8 +43,10 @@ pub enum GasPolicy {
 pub struct Chain {
     genesis: Timestamp,
     now: Timestamp,
-    balances: HashMap<Address, Wei>,
-    transactions: Vec<Transaction>,
+    balances: FastMap<Address, Wei>,
+    /// Shared so that an explorer can index the log without copying it;
+    /// appends copy it only while such a snapshot is alive.
+    transactions: Arc<Vec<Transaction>>,
     gas: GasPolicy,
     fee_sink: Address,
     minted: Wei,
@@ -55,8 +59,8 @@ impl Chain {
         Chain {
             genesis,
             now: genesis,
-            balances: HashMap::new(),
-            transactions: Vec::new(),
+            balances: FastMap::default(),
+            transactions: Arc::default(),
             gas: GasPolicy::Free,
             fee_sink: Address::derive(b"sim-chain/fee-sink"),
             minted: Wei::ZERO,
@@ -150,7 +154,7 @@ impl Chain {
 
     fn push_tx(&mut self, from: Address, to: Address, value: Wei, kind: TxKind) -> TxHash {
         let hash = Transaction::derive_hash(self.transactions.len() as u64, from, to, value);
-        self.transactions.push(Transaction {
+        let tx = Transaction {
             hash,
             block: self.block_number(),
             timestamp: self.now,
@@ -158,13 +162,20 @@ impl Chain {
             to,
             value,
             kind,
-        });
+        };
+        Arc::make_mut(&mut self.transactions).push(tx);
         hash
     }
 
     /// The full, append-only transaction log in confirmation order.
     pub fn transactions(&self) -> &[Transaction] {
         &self.transactions
+    }
+
+    /// An owned, shared snapshot of the transaction log. Cloning the
+    /// returned handle is a reference-count bump, not a deep copy.
+    pub fn transactions_snapshot(&self) -> Arc<Vec<Transaction>> {
+        Arc::clone(&self.transactions)
     }
 
     /// Number of confirmed transactions.
@@ -302,5 +313,18 @@ mod tests {
         assert_eq!(tx.timestamp, t0() + Duration::from_days(2));
         assert_eq!(tx.block, BlockNumber(2 * 86_400 / 12));
         assert_eq!(tx.kind, TxKind::Mint);
+    }
+
+    #[test]
+    fn snapshots_are_frozen_while_the_log_grows() {
+        let mut chain = Chain::new(t0());
+        chain.mint(addr("a"), Wei::from_eth(3));
+        let snapshot = chain.transactions_snapshot();
+        chain
+            .transfer(addr("a"), addr("b"), Wei::from_eth(1), TxKind::Transfer)
+            .unwrap();
+        assert_eq!(snapshot.len(), 1);
+        assert_eq!(chain.transaction_count(), 2);
+        assert_eq!(snapshot[..], chain.transactions()[..1]);
     }
 }

@@ -42,11 +42,11 @@ pub struct Transaction {
 impl Transaction {
     /// Derives the deterministic hash for the `nonce`-th transaction.
     pub(crate) fn derive_hash(nonce: u64, from: Address, to: Address, value: Wei) -> TxHash {
-        let mut seed = Vec::with_capacity(8 + 20 + 20 + 16);
-        seed.extend_from_slice(&nonce.to_be_bytes());
-        seed.extend_from_slice(&from.0);
-        seed.extend_from_slice(&to.0);
-        seed.extend_from_slice(&value.0.to_be_bytes());
+        let mut seed = [0u8; 8 + 20 + 20 + 16];
+        seed[..8].copy_from_slice(&nonce.to_be_bytes());
+        seed[8..28].copy_from_slice(&from.0);
+        seed[28..48].copy_from_slice(&to.0);
+        seed[48..].copy_from_slice(&value.0.to_be_bytes());
         TxHash(Hash32(ens_types::keccak256(&seed)))
     }
 }

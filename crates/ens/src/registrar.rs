@@ -6,9 +6,7 @@
 //! 90-day grace period during which only the old registrant can renew, and
 //! availability for anyone afterwards.
 
-use std::collections::HashMap;
-
-use ens_types::{Address, Label, LabelHash, Timestamp};
+use ens_types::{Address, FastMap, Label, LabelHash, Timestamp};
 use serde::{Deserialize, Serialize};
 
 use crate::pricing::GRACE_PERIOD;
@@ -48,7 +46,7 @@ impl Registration {
 /// The base registrar state machine.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct BaseRegistrar {
-    registrations: HashMap<LabelHash, Registration>,
+    registrations: FastMap<LabelHash, Registration>,
 }
 
 impl BaseRegistrar {
@@ -89,9 +87,9 @@ impl BaseRegistrar {
 
     /// Records a registration. The caller (controller) must have verified
     /// availability and taken payment.
-    pub(crate) fn set_registration(&mut self, registration: Registration) {
-        self.registrations
-            .insert(registration.label.hash(), registration);
+    pub(crate) fn set_registration(&mut self, label_hash: LabelHash, registration: Registration) {
+        debug_assert_eq!(label_hash, registration.label.hash());
+        self.registrations.insert(label_hash, registration);
     }
 
     /// Extends an existing registration's expiry. Caller must have verified
@@ -156,7 +154,7 @@ mod tests {
     fn grace_period_blocks_availability_for_90_days() {
         let mut r = BaseRegistrar::new();
         let expiry = Timestamp::from_ymd(2022, 1, 1);
-        r.set_registration(reg("gold", "alice", expiry));
+        r.set_registration(label("gold").hash(), reg("gold", "alice", expiry));
         let h = label("gold").hash();
 
         assert!(!r.available(h, expiry - Duration::from_secs(1)));
@@ -172,7 +170,7 @@ mod tests {
     fn registrant_of_is_none_after_expiry() {
         let mut r = BaseRegistrar::new();
         let expiry = Timestamp::from_ymd(2022, 1, 1);
-        r.set_registration(reg("gold", "alice", expiry));
+        r.set_registration(label("gold").hash(), reg("gold", "alice", expiry));
         let h = label("gold").hash();
         assert_eq!(
             r.registrant_of(h, expiry - Duration::from_secs(1)),
@@ -191,7 +189,7 @@ mod tests {
     fn extend_moves_expiry() {
         let mut r = BaseRegistrar::new();
         let expiry = Timestamp::from_ymd(2022, 1, 1);
-        r.set_registration(reg("gold", "alice", expiry));
+        r.set_registration(label("gold").hash(), reg("gold", "alice", expiry));
         let h = label("gold").hash();
         r.extend(h, expiry + Duration::from_years(1));
         assert!(r
@@ -203,7 +201,7 @@ mod tests {
     fn available_at_reports_grace_end() {
         let mut r = BaseRegistrar::new();
         let expiry = Timestamp::from_ymd(2022, 1, 1);
-        r.set_registration(reg("gold", "alice", expiry));
+        r.set_registration(label("gold").hash(), reg("gold", "alice", expiry));
         assert_eq!(
             r.available_at(label("gold").hash()),
             Some(expiry + GRACE_PERIOD)

@@ -7,9 +7,7 @@
 //! wallet until a new registrant overwrites the record — so there is no
 //! "resolution failure" warning phase like an expired DNS domain would have.
 
-use std::collections::HashMap;
-
-use ens_types::{Address, NameHash, Timestamp};
+use ens_types::{Address, FastMap, NameHash, Timestamp};
 use serde::{Deserialize, Serialize};
 
 /// A registry record for one node.
@@ -25,7 +23,7 @@ pub struct RegistryRecord {
 /// namehash → owner mapping.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct Registry {
-    records: HashMap<NameHash, RegistryRecord>,
+    records: FastMap<NameHash, RegistryRecord>,
 }
 
 impl Registry {
@@ -69,7 +67,7 @@ impl Registry {
 /// even after expiration").
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct PublicResolver {
-    addrs: HashMap<NameHash, Address>,
+    addrs: FastMap<NameHash, Address>,
 }
 
 impl PublicResolver {

@@ -8,15 +8,13 @@
 //! check a natural *additional* countermeasure beyond the expiry warning
 //! the paper proposes; `ens-dropcatch::countermeasures` evaluates both.
 
-use std::collections::HashMap;
-
-use ens_types::{Address, EnsName};
+use ens_types::{Address, EnsName, FastMap};
 use serde::{Deserialize, Serialize};
 
 /// address → primary name registrations.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct ReverseRegistrar {
-    records: HashMap<Address, EnsName>,
+    records: FastMap<Address, EnsName>,
 }
 
 impl ReverseRegistrar {

@@ -1,10 +1,10 @@
 //! The assembled ENS deployment: controller + registrar + registry +
 //! resolver, wired to a [`sim_chain::Chain`] for payments and time.
 
-use std::collections::HashMap;
-
+use ens_types::name::{subnode, ETH_NODE};
 use ens_types::{
-    keccak256, Address, Duration, EnsName, Hash32, Label, Timestamp, TxHash, UsdCents, Wei,
+    Address, Duration, EnsName, FastMap, Hash32, Keccak256, Label, LabelHash, NameHash, Timestamp,
+    TxHash, UsdCents, Wei,
 };
 use serde::{Deserialize, Serialize};
 use sim_chain::{Chain, TxKind};
@@ -78,7 +78,7 @@ pub struct EnsSystem {
     reverse: ReverseRegistrar,
     rents: RentSchedule,
     premium_enabled: bool,
-    commitments: HashMap<Hash32, Timestamp>,
+    commitments: FastMap<Hash32, Timestamp>,
     events: Vec<EnsEvent>,
     controller_address: Address,
 }
@@ -99,7 +99,7 @@ impl EnsSystem {
             reverse: ReverseRegistrar::new(),
             rents: RentSchedule::default(),
             premium_enabled: true,
-            commitments: HashMap::new(),
+            commitments: FastMap::default(),
             events: Vec::new(),
             controller_address: Address::derive(b"contract/ens-controller"),
         }
@@ -142,8 +142,19 @@ impl EnsSystem {
         duration: Duration,
         now: Timestamp,
     ) -> (UsdCents, UsdCents) {
+        self.quote(label, label.hash(), duration, now)
+    }
+
+    /// [`EnsSystem::price_usd`] with the label hash already computed.
+    fn quote(
+        &self,
+        label: &Label,
+        label_hash: LabelHash,
+        duration: Duration,
+        now: Timestamp,
+    ) -> (UsdCents, UsdCents) {
         let rent = self.rents.rent_for(label, duration);
-        let premium = match self.registrar.registration(label.hash()) {
+        let premium = match self.registrar.registration(label_hash) {
             Some(r) if self.premium_enabled && now >= r.grace_end() => {
                 premium_after_grace(now.saturating_since(r.grace_end()))
             }
@@ -234,11 +245,11 @@ impl EnsSystem {
 
     /// Computes the commitment hash for a pending registration.
     pub fn make_commitment(label: &Label, owner: Address, secret: u64) -> Hash32 {
-        let mut buf = Vec::with_capacity(label.len() + 20 + 8);
-        buf.extend_from_slice(label.as_str().as_bytes());
-        buf.extend_from_slice(&owner.0);
-        buf.extend_from_slice(&secret.to_be_bytes());
-        Hash32(keccak256(&buf))
+        let mut h = Keccak256::new();
+        h.update(label.as_str().as_bytes());
+        h.update(&owner.0);
+        h.update(&secret.to_be_bytes());
+        Hash32(h.finalize())
     }
 
     /// Records a commitment at the current chain time.
@@ -286,18 +297,11 @@ impl EnsSystem {
         if duration < MIN_REGISTRATION {
             return Err(EnsError::DurationTooShort);
         }
-        if !self.available(label, now) {
-            return Err(EnsError::NotAvailable {
-                label: label.clone(),
-                available_at: self
-                    .registrar
-                    .available_at(label.hash())
-                    .unwrap_or(Timestamp(u64::MAX)),
-            });
-        }
+        let label_hash = label.hash();
+        self.check_available(label, label_hash, now)?;
         self.consume_commitment(now, Self::make_commitment(label, owner, secret))?;
 
-        let (rent_usd, premium_usd) = self.price_usd(label, duration, now);
+        let (rent_usd, premium_usd) = self.quote(label, label_hash, duration, now);
         let base_cost = usd_to_wei(rent_usd, cents_per_eth);
         let premium = usd_to_wei(premium_usd, cents_per_eth);
         let tx = chain.transfer(
@@ -310,20 +314,22 @@ impl EnsSystem {
         )?;
 
         let expires = now + duration;
-        self.registrar.set_registration(Registration {
-            label: label.clone(),
-            registrant: owner,
-            expiry: expires,
-            registered_at: now,
-        });
-        let name = EnsName::from_label(label.clone());
-        let node = name.namehash();
+        self.registrar.set_registration(
+            label_hash,
+            Registration {
+                label: label.clone(),
+                registrant: owner,
+                expiry: expires,
+                registered_at: now,
+            },
+        );
+        let node = subnode(ETH_NODE, label_hash);
         self.registry.set_owner(node, owner, now);
         self.emit(
             chain,
             Some(tx),
             EnsEventKind::NameRegistered {
-                label_hash: label.hash(),
+                label_hash,
                 label: Some(label.clone()),
                 owner,
                 expires,
@@ -357,9 +363,10 @@ impl EnsSystem {
         cents_per_eth: u64,
     ) -> Result<Receipt, EnsError> {
         let now = chain.now();
+        let label_hash = label.hash();
         let reg = self
             .registrar
-            .registration(label.hash())
+            .registration(label_hash)
             .ok_or_else(|| EnsError::NotRegistered(label.clone()))?;
         if now >= reg.grace_end() {
             return Err(EnsError::PastGracePeriod(label.clone()));
@@ -375,12 +382,12 @@ impl EnsSystem {
                 contract: "ens-controller".to_string(),
             },
         )?;
-        self.registrar.extend(label.hash(), expires);
+        self.registrar.extend(label_hash, expires);
         self.emit(
             chain,
             Some(tx),
             EnsEventKind::NameRenewed {
-                label_hash: label.hash(),
+                label_hash,
                 label: Some(label.clone()),
                 expires,
                 cost,
@@ -405,21 +412,15 @@ impl EnsSystem {
         to: Address,
     ) -> Result<(), EnsError> {
         let now = chain.now();
-        let current = self
-            .registrar
-            .registrant_of(label.hash(), now)
-            .ok_or_else(|| EnsError::NotRegistered(label.clone()))?;
-        if current != from {
-            return Err(EnsError::NotOwner(label.clone()));
-        }
-        self.registrar.set_registrant(label.hash(), to);
-        let node = EnsName::from_label(label.clone()).namehash();
-        self.registry.set_owner(node, to, now);
+        let label_hash = self.current_registrant_is(label, from, now)?;
+        self.registrar.set_registrant(label_hash, to);
+        self.registry
+            .set_owner(subnode(ETH_NODE, label_hash), to, now);
         self.emit(
             chain,
             None,
             EnsEventKind::NameTransferred {
-                label_hash: label.hash(),
+                label_hash,
                 from,
                 to,
             },
@@ -438,15 +439,8 @@ impl EnsSystem {
         caller: Address,
         addr: Address,
     ) -> Result<(), EnsError> {
-        let now = chain.now();
-        let current = self
-            .registrar
-            .registrant_of(label.hash(), now)
-            .ok_or_else(|| EnsError::NotRegistered(label.clone()))?;
-        if current != caller {
-            return Err(EnsError::NotOwner(label.clone()));
-        }
-        let node = EnsName::from_label(label.clone()).namehash();
+        let label_hash = self.current_registrant_is(label, caller, chain.now())?;
+        let node = subnode(ETH_NODE, label_hash);
         self.resolver.set_addr(node, addr);
         self.emit(chain, None, EnsEventKind::AddrChanged { node, addr });
         Ok(())
@@ -462,17 +456,11 @@ impl EnsSystem {
         sub_label: &Label,
         sub_owner: Address,
         resolve_to: Option<Address>,
-    ) -> Result<ens_types::NameHash, EnsError> {
+    ) -> Result<NameHash, EnsError> {
         let now = chain.now();
-        let current = self
-            .registrar
-            .registrant_of(label.hash(), now)
-            .ok_or_else(|| EnsError::NotRegistered(label.clone()))?;
-        if current != caller {
-            return Err(EnsError::NotOwner(label.clone()));
-        }
-        let parent = EnsName::from_label(label.clone()).namehash();
-        let node = ens_types::name::namehash_labels([sub_label.as_str(), label.as_str(), "eth"]);
+        let label_hash = self.current_registrant_is(label, caller, now)?;
+        let parent = subnode(ETH_NODE, label_hash);
+        let node = subnode(parent, sub_label.hash());
         self.registry.set_owner(node, sub_owner, now);
         self.emit(
             chain,
@@ -521,28 +509,24 @@ impl EnsSystem {
         publish_label: bool,
     ) -> Result<(), EnsError> {
         let now = chain.now();
-        if !self.available(label, now) {
-            return Err(EnsError::NotAvailable {
+        let label_hash = label.hash();
+        self.check_available(label, label_hash, now)?;
+        self.registrar.set_registration(
+            label_hash,
+            Registration {
                 label: label.clone(),
-                available_at: self
-                    .registrar
-                    .available_at(label.hash())
-                    .unwrap_or(Timestamp(u64::MAX)),
-            });
-        }
-        self.registrar.set_registration(Registration {
-            label: label.clone(),
-            registrant: owner,
-            expiry,
-            registered_at: now,
-        });
-        let node = EnsName::from_label(label.clone()).namehash();
+                registrant: owner,
+                expiry,
+                registered_at: now,
+            },
+        );
+        let node = subnode(ETH_NODE, label_hash);
         self.registry.set_owner(node, owner, now);
         self.emit(
             chain,
             None,
             EnsEventKind::NameRegistered {
-                label_hash: label.hash(),
+                label_hash,
                 label: publish_label.then(|| label.clone()),
                 owner,
                 expires: expiry,
@@ -556,6 +540,43 @@ impl EnsSystem {
             self.emit(chain, None, EnsEventKind::AddrChanged { node, addr });
         }
         Ok(())
+    }
+
+    /// `Ok` if `label` (hashing to `label_hash`) is registrable at `now`.
+    fn check_available(
+        &self,
+        label: &Label,
+        label_hash: LabelHash,
+        now: Timestamp,
+    ) -> Result<(), EnsError> {
+        if self.registrar.available(label_hash, now) {
+            return Ok(());
+        }
+        Err(EnsError::NotAvailable {
+            label: label.clone(),
+            available_at: self
+                .registrar
+                .available_at(label_hash)
+                .unwrap_or(Timestamp(u64::MAX)),
+        })
+    }
+
+    /// The label's hash, if `who` is its current (unexpired) registrant.
+    fn current_registrant_is(
+        &self,
+        label: &Label,
+        who: Address,
+        now: Timestamp,
+    ) -> Result<LabelHash, EnsError> {
+        let label_hash = label.hash();
+        let current = self
+            .registrar
+            .registrant_of(label_hash, now)
+            .ok_or_else(|| EnsError::NotRegistered(label.clone()))?;
+        if current != who {
+            return Err(EnsError::NotOwner(label.clone()));
+        }
+        Ok(label_hash)
     }
 
     fn emit(&mut self, chain: &Chain, tx: Option<TxHash>, kind: EnsEventKind) {

@@ -12,7 +12,7 @@
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-use ens_types::{Address, PageError, PagedBatch, PagedSource};
+use ens_types::{Address, FastMap, PageError, PagedBatch, PagedSource};
 use serde::{Deserialize, Serialize};
 use sim_chain::{Chain, Transaction};
 
@@ -131,11 +131,16 @@ impl LabelService {
 /// The indexed explorer.
 #[derive(Clone, Debug)]
 pub struct Etherscan {
-    /// All transactions in chain order.
-    transactions: Vec<Transaction>,
-    /// address → indices of transactions where it is sender or receiver,
-    /// in chain order.
-    by_address: HashMap<Address, Vec<usize>>,
+    /// All transactions in chain order, shared with the chain.
+    transactions: Arc<Vec<Transaction>>,
+    /// address → its slot in `starts`.
+    by_address: FastMap<Address, u32>,
+    /// Slot `s`'s history is `history[starts[s]..starts[s + 1]]`.
+    starts: Vec<u32>,
+    /// Per address, the indices of the transactions where it is sender or
+    /// receiver, in chain order; one flat array instead of a `Vec` per
+    /// address.
+    history: Vec<u32>,
     /// Shared so that dataset assembly can take an owned snapshot without
     /// deep-copying the whole directory.
     labels: Arc<LabelService>,
@@ -144,18 +149,71 @@ pub struct Etherscan {
 impl Etherscan {
     /// Indexes the full transaction log of a chain.
     pub fn index(chain: &Chain, labels: LabelService) -> Etherscan {
-        let transactions = chain.transactions().to_vec();
-        let mut by_address: HashMap<Address, Vec<usize>> = HashMap::new();
-        for (i, tx) in transactions.iter().enumerate() {
-            by_address.entry(tx.from).or_default().push(i);
-            if tx.to != tx.from {
-                by_address.entry(tx.to).or_default().push(i);
+        let transactions = chain.transactions_snapshot();
+        // Each transaction adds at most two history entries and two
+        // addresses, so this bound keeps every slot, position and index
+        // below `NONE`.
+        assert!(
+            transactions.len() < (u32::MAX / 2) as usize,
+            "the explorer indexes fewer than 2^31 transactions"
+        );
+        // Pass 1: give each address a slot, count its transactions, and
+        // note the slot of each transaction's sender and receiver
+        // (`NONE` for the receiver of a self-transfer, indexed once).
+        const NONE: u32 = u32::MAX;
+        let mut by_address: FastMap<Address, u32> = FastMap::default();
+        let mut counts: Vec<u32> = Vec::new();
+        let mut touches: Vec<[u32; 2]> = Vec::with_capacity(transactions.len());
+        let mut slot_of = |a: Address| {
+            let next = counts.len() as u32;
+            let slot = *by_address.entry(a).or_insert(next);
+            if slot == next {
+                counts.push(0);
+            }
+            counts[slot as usize] += 1;
+            slot
+        };
+        for tx in transactions.iter() {
+            let from = slot_of(tx.from);
+            let to = if tx.to != tx.from {
+                slot_of(tx.to)
+            } else {
+                NONE
+            };
+            touches.push([from, to]);
+        }
+        // Pass 2: lay the histories out back to back, in chain order.
+        let mut starts = Vec::with_capacity(counts.len() + 1);
+        starts.push(0u32);
+        for &count in &counts {
+            starts.push(starts[starts.len() - 1] + count);
+        }
+        // The next free position of each slot's history.
+        let mut next = starts[..counts.len()].to_vec();
+        let mut history = vec![0u32; starts[counts.len()] as usize];
+        for (i, sides) in touches.iter().enumerate() {
+            for &slot in sides.iter().filter(|&&s| s != NONE) {
+                history[next[slot as usize] as usize] = i as u32;
+                next[slot as usize] += 1;
             }
         }
         Etherscan {
             transactions,
             by_address,
+            starts,
+            history,
             labels: Arc::new(labels),
+        }
+    }
+
+    /// The indices of the transactions touching `address`, in chain order.
+    fn history(&self, address: Address) -> &[u32] {
+        match self.by_address.get(&address) {
+            Some(&slot) => {
+                let s = slot as usize;
+                &self.history[self.starts[s] as usize..self.starts[s + 1] as usize]
+            }
+            None => &[],
         }
     }
 
@@ -179,16 +237,13 @@ impl Etherscan {
         if page == 0 {
             return Vec::new();
         }
-        let idxs = match self.by_address.get(&address) {
-            Some(v) => v.as_slice(),
-            None => return Vec::new(),
-        };
         let offset = offset.clamp(1, MAX_TXLIST_PAGE);
         let start = (page - 1) * offset;
-        idxs.iter()
+        self.history(address)
+            .iter()
             .skip(start)
             .take(offset)
-            .map(|&i| self.transactions[i].clone())
+            .map(|&i| self.transactions[i as usize].clone())
             .collect()
     }
 
@@ -196,21 +251,18 @@ impl Etherscan {
     /// transactions touching `address`, starting at the `start`-th entry of
     /// its chain-ordered history. `limit` is capped at [`MAX_TXLIST_PAGE`].
     pub fn txlist_window(&self, address: Address, start: usize, limit: usize) -> Vec<Transaction> {
-        let idxs = match self.by_address.get(&address) {
-            Some(v) => v.as_slice(),
-            None => return Vec::new(),
-        };
         let limit = limit.clamp(1, MAX_TXLIST_PAGE);
-        idxs.iter()
+        self.history(address)
+            .iter()
             .skip(start)
             .take(limit)
-            .map(|&i| self.transactions[i].clone())
+            .map(|&i| self.transactions[i as usize].clone())
             .collect()
     }
 
     /// Total transactions touching `address`.
     pub fn tx_count(&self, address: Address) -> usize {
-        self.by_address.get(&address).map_or(0, |v| v.len())
+        self.history(address).len()
     }
 
     /// The transaction history of one address as a generic paged source —
@@ -350,6 +402,47 @@ mod tests {
         assert!(!labels.is_non_coinbase_custodial(addr("coinbase")));
         assert!(!labels.is_custodial(addr("random-user")));
         assert_eq!(labels.addresses_of_kind(LabelKind::Coinbase).len(), 1);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// Every address's history is exactly the transactions touching
+        /// it, in chain order, self-transfers once — checked against a
+        /// scan of the whole log, through every read path.
+        #[test]
+        fn histories_equal_a_scan_of_the_log(
+            moves in proptest::collection::vec((0u64..6, 0u64..6, 1u64..4), 0..80),
+        ) {
+            let who = |i: u64| Address::derive_indexed("user", i);
+            let mut chain = Chain::new(Timestamp::from_ymd(2021, 1, 1));
+            for i in 0..6 {
+                chain.mint(who(i), Wei::from_eth(1_000));
+            }
+            for (from, to, eth) in moves {
+                chain
+                    .transfer(who(from), who(to), Wei::from_eth(eth), TxKind::Transfer)
+                    .unwrap();
+            }
+            let scan = Etherscan::index(&chain, LabelService::new());
+            for i in 0..7 {
+                let a = who(i);
+                let want: Vec<Transaction> = chain
+                    .transactions()
+                    .iter()
+                    .filter(|tx| tx.from == a || tx.to == a)
+                    .cloned()
+                    .collect();
+                proptest::prop_assert_eq!(scan.tx_count(a), want.len());
+                proptest::prop_assert_eq!(&scan.txlist(a, 1, MAX_TXLIST_PAGE), &want);
+                let paged: Vec<Transaction> = (1..=want.len().div_ceil(3).max(1))
+                    .flat_map(|page| scan.txlist(a, page, 3))
+                    .collect();
+                proptest::prop_assert_eq!(&paged, &want);
+                let tail = want.get(2..).unwrap_or(&[]);
+                proptest::prop_assert_eq!(&scan.txlist_window(a, 2, 100), tail);
+            }
+        }
     }
 
     #[test]

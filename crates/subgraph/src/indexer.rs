@@ -3,7 +3,8 @@
 use std::collections::HashMap;
 
 use ens_registry::{EnsEvent, EnsEventKind};
-use ens_types::{keccak256, Address, EnsName, LabelHash, NameHash, Timestamp};
+use ens_types::name::{subnode, ETH_NODE};
+use ens_types::{keccak256, Address, EnsName, FastMap, LabelHash, NameHash, Timestamp};
 use serde::{Deserialize, Serialize};
 
 use crate::model::{
@@ -57,9 +58,9 @@ impl SubgraphConfig {
 /// Internal mutable index used while folding the event stream.
 #[derive(Clone, Default)]
 pub(crate) struct IndexState {
-    pub domains: HashMap<LabelHash, DomainRecord>,
+    pub domains: FastMap<LabelHash, DomainRecord>,
     /// namehash → label hash, learned from events that carry labels.
-    pub node_to_label: HashMap<NameHash, LabelHash>,
+    pub node_to_label: FastMap<NameHash, LabelHash>,
     /// `AddrChanged` events we could not attribute to a known node.
     pub unattributed_addr_changes: usize,
     pub subdomain_count: usize,
@@ -91,9 +92,9 @@ impl IndexState {
                         ..DomainRecord::default()
                     });
                 if let Some(label) = label {
-                    let name = EnsName::from_label(label.clone());
-                    self.node_to_label.insert(name.namehash(), *label_hash);
-                    record.name = Some(name);
+                    self.node_to_label
+                        .insert(subnode(ETH_NODE, *label_hash), *label_hash);
+                    record.name = Some(EnsName::from_label(label.clone()));
                 }
                 record.registrations.push(RegistrationEntry {
                     owner: *owner,

@@ -18,7 +18,7 @@ pub mod model;
 pub mod query;
 
 use ens_registry::EnsEvent;
-use ens_types::{EnsName, LabelHash};
+use ens_types::{EnsName, FastMap, LabelHash};
 use indexer::IndexState;
 pub use indexer::SubgraphConfig;
 pub use model::{
@@ -89,7 +89,7 @@ pub struct Subgraph {
     /// Domains ordered by label hash (the endpoint's stable order).
     ordered: Vec<DomainRecord>,
     /// label hash → index into `ordered`.
-    by_hash: HashMap<LabelHash, usize>,
+    by_hash: FastMap<LabelHash, usize>,
     /// full name → index into `ordered` (only for recovered names).
     by_name: HashMap<String, usize>,
     /// addr → (claim time, full name) primary-name history. Shared so that
@@ -127,7 +127,9 @@ impl Subgraph {
                 record
             })
             .collect();
-        ordered.sort_by_key(|r| r.label_hash);
+        // Label hashes are the fold's map keys, hence unique: the unstable
+        // sort's order is the stable one.
+        ordered.sort_unstable_by_key(|r| r.label_hash);
 
         let by_hash = ordered
             .iter()

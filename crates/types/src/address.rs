@@ -4,7 +4,7 @@ use std::fmt;
 
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
-use crate::keccak::keccak256;
+use crate::keccak::{keccak256, Keccak256};
 
 /// A 20-byte Ethereum address.
 ///
@@ -36,7 +36,12 @@ impl Address {
     /// this instead of real key generation, keccak-hashing the seed exactly
     /// like Ethereum derives addresses from public keys (last 20 bytes).
     pub fn derive(seed: &[u8]) -> Address {
-        let h = keccak256(seed);
+        Address::from_digest(keccak256(seed))
+    }
+
+    /// The last 20 bytes of a keccak digest, as Ethereum takes an address
+    /// from a public-key hash.
+    fn from_digest(h: [u8; 32]) -> Address {
         let mut out = [0u8; 20];
         out.copy_from_slice(&h[12..]);
         Address(out)
@@ -44,11 +49,11 @@ impl Address {
 
     /// Derives the `n`-th address in a named family, e.g. `("sender", 42)`.
     pub fn derive_indexed(family: &str, n: u64) -> Address {
-        let mut seed = Vec::with_capacity(family.len() + 9);
-        seed.extend_from_slice(family.as_bytes());
-        seed.push(b'/');
-        seed.extend_from_slice(&n.to_be_bytes());
-        Address::derive(&seed)
+        let mut h = Keccak256::new();
+        h.update(family.as_bytes());
+        h.update(b"/");
+        h.update(&n.to_be_bytes());
+        Address::from_digest(h.finalize())
     }
 
     /// Lower-case hex with `0x` prefix (no EIP-55 checksum).

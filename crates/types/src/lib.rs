@@ -14,6 +14,8 @@
 //!   proleptic-Gregorian calendar;
 //! - [`name`] — validated ENS [`Label`]s/[`EnsName`]s and the recursive
 //!   [`namehash`](name::namehash);
+//! - [`fast_hash`] — [`FastState`], the seeded multiply-fold hasher for
+//!   the simulators' internal maps keyed by addresses and hashes;
 //! - [`paged`] — the [`PagedSource`] trait every paged data-source endpoint
 //!   implements, so one generic crawler can drive them all, plus the typed
 //!   fault taxonomy ([`FaultKind`]) and the seeded chaos harness
@@ -27,6 +29,7 @@
 
 pub mod address;
 pub mod amount;
+pub mod fast_hash;
 pub mod hash;
 pub mod keccak;
 pub mod name;
@@ -35,6 +38,7 @@ pub mod time;
 
 pub use address::Address;
 pub use amount::{UsdCents, Wei, WEI_PER_ETH};
+pub use fast_hash::{FastMap, FastState};
 pub use hash::{Hash32, LabelHash, NameHash, TxHash};
 pub use keccak::{keccak256, Keccak256};
 pub use name::{namehash, EnsName, Label, NameError};

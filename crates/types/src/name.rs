@@ -161,7 +161,7 @@ impl EnsName {
 
     /// The recursive namehash of the full name.
     pub fn namehash(&self) -> NameHash {
-        namehash_labels([self.label.as_str(), "eth"])
+        subnode(ETH_NODE, self.label.hash())
     }
 }
 
@@ -184,6 +184,25 @@ impl std::str::FromStr for EnsName {
     }
 }
 
+/// `namehash("eth")`, the parent node of every second-level name.
+pub const ETH_NODE: NameHash = NameHash(Hash32([
+    0x93, 0xcd, 0xeb, 0x70, 0x8b, 0x75, 0x45, 0xdc, //
+    0x66, 0x8e, 0xb9, 0x28, 0x01, 0x76, 0x16, 0x9d, //
+    0x1c, 0x33, 0xcf, 0xd8, 0xed, 0x6f, 0x04, 0x69, //
+    0x0a, 0x0b, 0xcc, 0x88, 0xa9, 0x3f, 0xc4, 0xae,
+]));
+
+/// One namehash step: the node of the child labelled `label` under
+/// `parent`, `keccak256(parent || label)`. With a label hash already in
+/// hand this costs one keccak; `subnode(ETH_NODE, label.hash())` is the
+/// namehash of `label.eth`.
+pub fn subnode(parent: NameHash, label: LabelHash) -> NameHash {
+    let mut buf = [0u8; 64];
+    buf[..32].copy_from_slice(&parent.0 .0);
+    buf[32..].copy_from_slice(&label.0 .0);
+    NameHash(Hash32(keccak256(&buf)))
+}
+
 /// Computes the ENS namehash of a dot-separated name (ENSIP-1):
 /// `namehash("") = 0x00..0`, and
 /// `namehash(l "." rest) = keccak256(namehash(rest) || keccak256(l))`.
@@ -198,15 +217,12 @@ pub fn namehash(name: &str) -> NameHash {
 /// (`["gold", "eth"]` for `gold.eth`).
 pub fn namehash_labels<'a>(labels: impl IntoIterator<Item = &'a str>) -> NameHash {
     let labels: Vec<&str> = labels.into_iter().collect();
-    let mut node = [0u8; 32];
-    for label in labels.into_iter().rev() {
-        let label_hash = keccak256(label.as_bytes());
-        let mut buf = [0u8; 64];
-        buf[..32].copy_from_slice(&node);
-        buf[32..].copy_from_slice(&label_hash);
-        node = keccak256(&buf);
-    }
-    NameHash(Hash32(node))
+    labels
+        .into_iter()
+        .rev()
+        .fold(NameHash(Hash32::ZERO), |node, label| {
+            subnode(node, LabelHash(Hash32(keccak256(label.as_bytes()))))
+        })
 }
 
 #[cfg(test)]
@@ -231,6 +247,34 @@ mod tests {
     fn ens_name_namehash_matches_generic_namehash() {
         let name = EnsName::parse("gold.eth").unwrap();
         assert_eq!(name.namehash(), namehash("gold.eth"));
+    }
+
+    #[test]
+    fn eth_node_is_the_namehash_of_eth() {
+        assert_eq!(ETH_NODE, namehash("eth"));
+        assert_eq!(
+            ETH_NODE,
+            subnode(NameHash(Hash32::ZERO), Label::parse("eth").unwrap().hash())
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// The ETH-constant fast path equals the generic recursive
+        /// namehash for arbitrary valid labels, and so does a node built
+        /// from a label hash computed in advance (the ENS write path hashes
+        /// each label once and derives the node from that hash).
+        #[test]
+        fn ens_name_namehash_matches_generic_for_any_label(
+            label in proptest::string::string_regex("[a-z0-9_-]{3,24}").unwrap(),
+        ) {
+            let parsed = Label::parse(&label).unwrap();
+            let generic = namehash(&format!("{label}.eth"));
+            let label_hash = parsed.hash();
+            proptest::prop_assert_eq!(EnsName::from_label(parsed).namehash(), generic);
+            proptest::prop_assert_eq!(subnode(ETH_NODE, label_hash), generic);
+        }
     }
 
     #[test]

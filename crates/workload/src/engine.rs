@@ -7,7 +7,7 @@
 //! failures instead of silently skewing the data.
 
 use ens_registry::{usd_to_wei, EnsSystem};
-use ens_types::{Address, Duration, Label, UsdCents, Wei};
+use ens_types::{Address, Duration, Label, Timestamp, UsdCents, Wei};
 
 use etherscan_sim::LabelService;
 use opensea_sim::OpenSea;
@@ -114,6 +114,7 @@ fn execute_events(
         ens: &mut ens,
         opensea: &mut opensea,
         oracle: &oracle,
+        price_day: None,
     };
     for (index, event) in events.iter().enumerate() {
         exec.apply(event).map_err(|message| {
@@ -139,6 +140,10 @@ struct Executor<'a> {
     ens: &'a mut EnsSystem,
     opensea: &'a mut OpenSea,
     oracle: &'a PriceOracle,
+    /// `(day index, close)` of the last oracle lookup. The close depends
+    /// only on the day and the clock never goes back, so one entry saves
+    /// the per-event noise hash and interpolation.
+    price_day: Option<(u64, u64)>,
 }
 
 impl Executor<'_> {
@@ -149,7 +154,7 @@ impl Executor<'_> {
                 .map_err(|e| format!("clock: {e}"))?;
         }
         let now = self.chain.now();
-        let price = self.oracle.cents_per_eth(now);
+        let price = self.cents_per_eth(now);
 
         match &event.action {
             PlannedAction::ImportLegacy {
@@ -288,6 +293,19 @@ impl Executor<'_> {
         }
     }
 
+    /// The oracle's close for the day of `now`, looked up once per day.
+    fn cents_per_eth(&mut self, now: Timestamp) -> u64 {
+        let day = now.day_index();
+        match self.price_day {
+            Some((d, cents)) if d == day => cents,
+            _ => {
+                let cents = self.oracle.cents_per_eth(now);
+                self.price_day = Some((day, cents));
+                cents
+            }
+        }
+    }
+
     /// Converts a planned USD amount to wei at the current day's close.
     fn usd_to_wei_now(&self, usd: f64, cents_per_eth: u64) -> Wei {
         let cents = UsdCents((usd * 100.0).round().max(1.0) as u128);
@@ -314,7 +332,6 @@ fn usd_cents(usd: f64) -> UsdCents {
 mod tests {
     use super::*;
     use crate::plan::{Plan, PlannedEvent};
-    use ens_types::Timestamp;
 
     fn empty_plan(events: Vec<PlannedEvent>) -> Plan {
         Plan {

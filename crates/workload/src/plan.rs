@@ -298,7 +298,9 @@ impl<'a> Planner<'a> {
             let spec = self.namegen.generate(&mut self.rng);
             self.plan_name(spec);
         }
-        self.events.sort_by_key(|e| (e.at, e.seq));
+        // `seq` is unique per event, so the unstable sort's order is the
+        // stable one.
+        self.events.sort_unstable_by_key(|e| (e.at, e.seq));
         Plan {
             events: self.events,
             truth: self.truth,
