@@ -116,8 +116,15 @@ fn main() {
     );
     for run in &sweep.runs {
         eprintln!(
-            "  every {:>5}: {:.1} ms ({:+.2}%), {} segments, identical: {}",
-            run.every, run.crawl_ms, run.overhead_pct, run.checkpoint_writes, run.identical
+            "  every {:>5}: {:.1} ms ({:+.2}%), raw {:.1} ms ({:+.1}%), {} segments, \
+             identical: {}",
+            run.every,
+            run.crawl_ms,
+            run.overhead_pct,
+            run.raw_crawl_ms,
+            run.raw_overhead_pct,
+            run.checkpoint_writes,
+            run.identical
         );
     }
     eprintln!(

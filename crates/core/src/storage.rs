@@ -44,7 +44,7 @@ use etherscan_sim::{AddressLabel, LabelKind, LabelService};
 use opensea_sim::{MarketEvent, OpenSea};
 use sim_chain::{Transaction, TxKind};
 
-use crate::crawl::CrawlReport;
+use crate::crawl::{CommittedShard, CrawlReport};
 use crate::dataset::Dataset;
 
 pub use ens_columnar::{MAGIC, VERSION};
@@ -78,6 +78,10 @@ mod section {
     pub const LABELS: u32 = 12;
     /// Observation window end + the crawl report (JSON-embedded).
     pub const META: u32 = 13;
+    /// A checkpoint shard's `SourceStats` and gaps (JSON-embedded, like
+    /// `META`). Only inside checkpoint shard blobs, never in a dataset
+    /// file.
+    pub const SHARD_TRAILER: u32 = 14;
 }
 
 /// Market event tags (column values; stable like section ids).
@@ -100,7 +104,7 @@ const TAG_LABEL_CONTRACT: u8 = 2;
 // ---------------------------------------------------------------------------
 
 /// Shared intern state for one encode pass.
-struct Interner {
+pub(crate) struct Interner {
     strings: StrTable,
     addrs: ens_columnar::BytesTable<20>,
 }
@@ -252,19 +256,22 @@ fn push_tx_column(buf: &mut Vec<u8>, txs: impl Iterator<Item = Option<TxHash>> +
     }
 }
 
-fn encode_transactions(
-    transactions: &BTreeMap<Address, Vec<Transaction>>,
+/// Encodes per-owner transaction histories, owners in iteration order:
+/// the whole dataset's `BTreeMap` in address order, or one checkpoint
+/// txlist shard as a single owner.
+fn encode_transactions<'a>(
+    owners: impl ExactSizeIterator<Item = (Address, &'a [Transaction])> + Clone,
     it: &mut Interner,
 ) -> Vec<u8> {
     let mut buf = Vec::new();
-    buf.put_u32(transactions.len() as u32);
-    for owner in transactions.keys() {
-        buf.put_u32(it.addr(*owner));
+    buf.put_u32(owners.len() as u32);
+    for (owner, _) in owners.clone() {
+        buf.put_u32(it.addr(owner));
     }
-    for txs in transactions.values() {
+    for (_, txs) in owners.clone() {
         buf.put_u32(txs.len() as u32);
     }
-    let all: Vec<&Transaction> = transactions.values().flatten().collect();
+    let all: Vec<&Transaction> = owners.flat_map(|(_, txs)| txs).collect();
     for tx in &all {
         buf.put_bytes(&tx.hash.0 .0);
     }
@@ -299,8 +306,7 @@ fn encode_transactions(
     buf
 }
 
-fn encode_market(market: &OpenSea, it: &mut Interner) -> Vec<u8> {
-    let events = market.all_events();
+fn encode_market(events: &[MarketEvent], it: &mut Interner) -> Vec<u8> {
     let mut buf = Vec::new();
     buf.put_u32(events.len() as u32);
     for e in events {
@@ -433,8 +439,12 @@ impl Dataset {
         let mut it = Interner::new();
 
         let [dom, reg, ren, xfer, addr, sub] = encode_domains(&self.domains, &mut it);
-        let txs = encode_transactions(&self.transactions, &mut it);
-        let market = encode_market(&self.market, &mut it);
+        let owners = self
+            .transactions
+            .iter()
+            .map(|(owner, txs)| (*owner, txs.as_slice()));
+        let txs = encode_transactions(owners, &mut it);
+        let market = encode_market(self.market.all_events(), &mut it);
         let reverse = encode_reverse(&self.reverse_claims, &mut it);
         let labels = encode_labels(&self.labels, &mut it);
         let meta = encode_meta(self)?;
@@ -513,8 +523,15 @@ impl Dataset {
         let addr_of = |id: u32| -> Result<Address, ColumnarError> { Ok(Address(addrs.get(id)?)) };
 
         let (domains, counts) = decode_domains(&view, &strings, &addr_of)?;
-        let transactions = decode_transactions(&view, &strings, &addr_of)?;
-        let market = decode_market(&view, &addr_of)?;
+        let mut transactions = BTreeMap::new();
+        for (owner, txs) in decode_transactions(&view, &strings, &addr_of)? {
+            if transactions.insert(owner, txs).is_some() {
+                return Err(ColumnarError::Corrupt(format!(
+                    "transactions: duplicate owner {owner:?}"
+                )));
+            }
+        }
+        let market = OpenSea::from_events(decode_market(&view, &addr_of)?);
         let reverse_claims = decode_reverse(&view, &strings, &addr_of)?;
         let labels = decode_labels(&view, &strings, &addr_of)?;
 
@@ -553,13 +570,26 @@ impl Dataset {
 // Decoding
 // ---------------------------------------------------------------------------
 
+/// Section payloads by id. The section decoders read through this, so a
+/// whole `.ensc` file and one checkpoint shard blob share one decoder per
+/// section.
+trait Sections {
+    fn section(&self, id: u32) -> Result<&[u8], ColumnarError>;
+}
+
+impl Sections for FileView<'_> {
+    fn section(&self, id: u32) -> Result<&[u8], ColumnarError> {
+        FileView::section(self, id)
+    }
+}
+
 struct DecodeCounts {
     domains: usize,
     events: usize,
 }
 
 fn decode_domains(
-    view: &FileView<'_>,
+    view: &impl Sections,
     strings: &StrPool,
     addr_of: &impl Fn(u32) -> Result<Address, ColumnarError>,
 ) -> Result<(Vec<DomainRecord>, DecodeCounts), ColumnarError> {
@@ -655,7 +685,7 @@ fn take_tx_column(cur: &mut Cursor<'_>, n: usize) -> Result<Vec<Option<TxHash>>,
 }
 
 fn decode_registrations(
-    view: &FileView<'_>,
+    view: &impl Sections,
     addr_of: &impl Fn(u32) -> Result<Address, ColumnarError>,
 ) -> Result<Vec<RegistrationEntry>, ColumnarError> {
     let mut cur = Cursor::new(view.section(section::REGISTRATIONS)?, "registrations");
@@ -685,7 +715,7 @@ fn decode_registrations(
         .collect()
 }
 
-fn decode_renewals(view: &FileView<'_>) -> Result<Vec<RenewalEntry>, ColumnarError> {
+fn decode_renewals(view: &impl Sections) -> Result<Vec<RenewalEntry>, ColumnarError> {
     let mut cur = Cursor::new(view.section(section::RENEWALS)?, "renewals");
     let n = cur.take_u32()? as usize;
     let at = cur.take_u64_vec(n)?;
@@ -706,7 +736,7 @@ fn decode_renewals(view: &FileView<'_>) -> Result<Vec<RenewalEntry>, ColumnarErr
 }
 
 fn decode_transfers(
-    view: &FileView<'_>,
+    view: &impl Sections,
     addr_of: &impl Fn(u32) -> Result<Address, ColumnarError>,
 ) -> Result<Vec<TransferEntry>, ColumnarError> {
     let mut cur = Cursor::new(view.section(section::TRANSFERS)?, "transfers");
@@ -729,7 +759,7 @@ fn decode_transfers(
 }
 
 fn decode_addr_changes(
-    view: &FileView<'_>,
+    view: &impl Sections,
     addr_of: &impl Fn(u32) -> Result<Address, ColumnarError>,
 ) -> Result<Vec<AddrEntry>, ColumnarError> {
     let mut cur = Cursor::new(view.section(section::ADDR_CHANGES)?, "addr-changes");
@@ -748,7 +778,7 @@ fn decode_addr_changes(
 }
 
 fn decode_subdomains(
-    view: &FileView<'_>,
+    view: &impl Sections,
     strings: &StrPool,
     addr_of: &impl Fn(u32) -> Result<Address, ColumnarError>,
 ) -> Result<Vec<SubdomainEntry>, ColumnarError> {
@@ -772,10 +802,10 @@ fn decode_subdomains(
 }
 
 fn decode_transactions(
-    view: &FileView<'_>,
+    view: &impl Sections,
     strings: &StrPool,
     addr_of: &impl Fn(u32) -> Result<Address, ColumnarError>,
-) -> Result<BTreeMap<Address, Vec<Transaction>>, ColumnarError> {
+) -> Result<Vec<(Address, Vec<Transaction>)>, ColumnarError> {
     let mut cur = Cursor::new(view.section(section::TRANSACTIONS)?, "transactions");
     let owners = cur.take_u32()? as usize;
     let owner_ids = cur.take_u32_vec(owners)?;
@@ -817,26 +847,23 @@ fn decode_transactions(
         })
     });
 
-    let mut map = BTreeMap::new();
-    for (owner_id, count) in owner_ids.into_iter().zip(tx_counts) {
-        let owner = addr_of(owner_id)?;
-        let txs: Vec<Transaction> = rows
-            .by_ref()
-            .take(count as usize)
-            .collect::<Result<_, _>>()?;
-        if map.insert(owner, txs).is_some() {
-            return Err(ColumnarError::Corrupt(format!(
-                "transactions: duplicate owner {owner:?}"
-            )));
-        }
-    }
-    Ok(map)
+    owner_ids
+        .into_iter()
+        .zip(tx_counts)
+        .map(|(owner_id, count)| {
+            let txs: Vec<Transaction> = rows
+                .by_ref()
+                .take(count as usize)
+                .collect::<Result<_, _>>()?;
+            Ok((addr_of(owner_id)?, txs))
+        })
+        .collect()
 }
 
 fn decode_market(
-    view: &FileView<'_>,
+    view: &impl Sections,
     addr_of: &impl Fn(u32) -> Result<Address, ColumnarError>,
-) -> Result<OpenSea, ColumnarError> {
+) -> Result<Vec<MarketEvent>, ColumnarError> {
     let mut cur = Cursor::new(view.section(section::MARKET)?, "market");
     let n = cur.take_u32()? as usize;
     let tags = cur.take_bytes(n)?.to_vec();
@@ -854,7 +881,7 @@ fn decode_market(
 
     let mut prices = prices.into_iter();
     let mut buyers = buyers.into_iter();
-    let events: Vec<MarketEvent> = (0..n)
+    (0..n)
         .map(|i| -> Result<MarketEvent, ColumnarError> {
             let token = LabelHash(Hash32(tokens[i]));
             let seller = addr_of(sellers[i])?;
@@ -881,8 +908,7 @@ fn decode_market(
                 }
             })
         })
-        .collect::<Result<_, _>>()?;
-    Ok(OpenSea::from_events(events))
+        .collect()
 }
 
 fn decode_reverse(
@@ -952,6 +978,201 @@ fn decode_labels(
         });
     }
     Ok(service)
+}
+
+// ---------------------------------------------------------------------------
+// Checkpoint shard blobs
+// ---------------------------------------------------------------------------
+//
+// A crawl checkpoint stores each committed shard as one blob: the shard's
+// items written by the same section encoders a `.ensc` file uses, with
+// string and address pools of its own, plus a JSON trailer for the
+// shard's stats and gaps. Layout:
+//
+//   u32 section count k
+//   k × (u32 section id, u32 payload length)
+//   payloads, in directory order
+//
+// The blob carries no checksums: the checkpoint segment's own section
+// checksums already cover every blob byte.
+
+/// Item types a crawl checkpoint stores shard by shard, each through the
+/// dataset's own section encoder and decoder — one column schema per type,
+/// whether its rows land in a `.ensc` file or in a checkpoint.
+pub(crate) trait ShardItem: Sized {
+    /// What names one shard in a checkpoint: a shard index, or the owner
+    /// whose txlist the shard holds.
+    type Key;
+
+    /// The item sections of one shard.
+    fn encode_items(key: &Self::Key, items: &[Self], it: &mut Interner) -> Vec<(u32, Vec<u8>)>;
+
+    /// The inverse of [`ShardItem::encode_items`].
+    fn decode_items(
+        key: &Self::Key,
+        view: &BlobView<'_>,
+        strings: &StrPool,
+        addr_of: &dyn Fn(u32) -> Result<Address, ColumnarError>,
+    ) -> Result<Vec<Self>, ColumnarError>;
+}
+
+impl ShardItem for DomainRecord {
+    type Key = u64;
+
+    fn encode_items(_: &u64, items: &[DomainRecord], it: &mut Interner) -> Vec<(u32, Vec<u8>)> {
+        let [dom, reg, ren, xfer, addr, sub] = encode_domains(items, it);
+        vec![
+            (section::DOMAINS, dom),
+            (section::REGISTRATIONS, reg),
+            (section::RENEWALS, ren),
+            (section::TRANSFERS, xfer),
+            (section::ADDR_CHANGES, addr),
+            (section::SUBDOMAINS, sub),
+        ]
+    }
+
+    fn decode_items(
+        _: &u64,
+        view: &BlobView<'_>,
+        strings: &StrPool,
+        addr_of: &dyn Fn(u32) -> Result<Address, ColumnarError>,
+    ) -> Result<Vec<DomainRecord>, ColumnarError> {
+        Ok(decode_domains(view, strings, &addr_of)?.0)
+    }
+}
+
+impl ShardItem for Transaction {
+    type Key = Address;
+
+    fn encode_items(
+        owner: &Address,
+        items: &[Transaction],
+        it: &mut Interner,
+    ) -> Vec<(u32, Vec<u8>)> {
+        let owners = std::iter::once((*owner, items));
+        vec![(section::TRANSACTIONS, encode_transactions(owners, it))]
+    }
+
+    fn decode_items(
+        owner: &Address,
+        view: &BlobView<'_>,
+        strings: &StrPool,
+        addr_of: &dyn Fn(u32) -> Result<Address, ColumnarError>,
+    ) -> Result<Vec<Transaction>, ColumnarError> {
+        let mut rows = decode_transactions(view, strings, &addr_of)?;
+        match rows.pop() {
+            Some((found, txs)) if rows.is_empty() && found == *owner => Ok(txs),
+            _ => Err(ColumnarError::Corrupt(format!(
+                "txlist shard: expected the one owner {owner:?}"
+            ))),
+        }
+    }
+}
+
+impl ShardItem for MarketEvent {
+    type Key = u64;
+
+    fn encode_items(_: &u64, items: &[MarketEvent], it: &mut Interner) -> Vec<(u32, Vec<u8>)> {
+        vec![(section::MARKET, encode_market(items, it))]
+    }
+
+    fn decode_items(
+        _: &u64,
+        view: &BlobView<'_>,
+        _: &StrPool,
+        addr_of: &dyn Fn(u32) -> Result<Address, ColumnarError>,
+    ) -> Result<Vec<MarketEvent>, ColumnarError> {
+        decode_market(view, &addr_of)
+    }
+}
+
+/// Encodes one committed shard as a blob (layout above).
+pub(crate) fn encode_shard<T: ShardItem>(
+    key: &T::Key,
+    shard: &CommittedShard<T>,
+) -> serde_json::Result<Vec<u8>> {
+    let mut it = Interner::new();
+    let items = T::encode_items(key, &shard.items, &mut it);
+    let trailer = serde_json::to_string(&(&shard.stats, &shard.gaps))?;
+    let mut strings = Vec::new();
+    it.strings.encode(&mut strings);
+    let mut addresses = Vec::new();
+    it.addrs.encode(&mut addresses);
+
+    let mut sections = vec![(section::STRINGS, strings), (section::ADDRESSES, addresses)];
+    sections.extend(items);
+    sections.push((section::SHARD_TRAILER, trailer.into_bytes()));
+    let payload: usize = sections.iter().map(|(_, p)| p.len()).sum();
+    let mut out = Vec::with_capacity(4 + 8 * sections.len() + payload);
+    out.put_u32(sections.len() as u32);
+    for (id, p) in &sections {
+        out.put_u32(*id);
+        out.put_u32(p.len() as u32);
+    }
+    for (_, p) in &sections {
+        out.put_bytes(p);
+    }
+    Ok(out)
+}
+
+/// Decodes a blob written by [`encode_shard`] for the shard named `key`.
+/// Any damage is a typed error, never a panic.
+pub(crate) fn decode_shard<T: ShardItem>(
+    key: &T::Key,
+    blob: &[u8],
+) -> Result<CommittedShard<T>, ColumnarError> {
+    let view = BlobView::parse(blob)?;
+    let mut cur = Cursor::new(view.section(section::STRINGS)?, "shard strings");
+    let strings = StrPool::decode(&mut cur)?;
+    cur.expect_end()?;
+    let mut cur = Cursor::new(view.section(section::ADDRESSES)?, "shard addresses");
+    let addrs = FixedPool::<20>::decode(&mut cur)?;
+    cur.expect_end()?;
+    let addr_of = |id: u32| -> Result<Address, ColumnarError> { Ok(Address(addrs.get(id)?)) };
+
+    let items = T::decode_items(key, &view, &strings, &addr_of)?;
+    let trailer = std::str::from_utf8(view.section(section::SHARD_TRAILER)?)
+        .map_err(|e| ColumnarError::Corrupt(format!("shard trailer: not UTF-8: {e}")))?;
+    let (stats, gaps) = serde_json::from_str(trailer)
+        .map_err(|e| ColumnarError::Corrupt(format!("shard trailer: {e}")))?;
+    Ok(CommittedShard { items, stats, gaps })
+}
+
+/// The parsed directory of one shard blob.
+pub(crate) struct BlobView<'a> {
+    sections: Vec<(u32, &'a [u8])>,
+}
+
+impl<'a> BlobView<'a> {
+    fn parse(blob: &'a [u8]) -> Result<BlobView<'a>, ColumnarError> {
+        let mut cur = Cursor::new(blob, "shard blob");
+        let count = cur.take_u32()?;
+        let mut directory = Vec::new();
+        for _ in 0..count {
+            let id = cur.take_u32()?;
+            let len = cur.take_u32()? as usize;
+            if directory.iter().any(|&(existing, _)| existing == id) {
+                return Err(ColumnarError::DuplicateSection(id));
+            }
+            directory.push((id, len));
+        }
+        let mut sections = Vec::with_capacity(directory.len());
+        for (id, len) in directory {
+            sections.push((id, cur.take_bytes(len)?));
+        }
+        cur.expect_end()?;
+        Ok(BlobView { sections })
+    }
+}
+
+impl Sections for BlobView<'_> {
+    fn section(&self, id: u32) -> Result<&[u8], ColumnarError> {
+        self.sections
+            .iter()
+            .find(|(existing, _)| *existing == id)
+            .map(|(_, payload)| *payload)
+            .ok_or(ColumnarError::MissingSection(id))
+    }
 }
 
 /// Re-export of the magic sniff, for format auto-detection in the

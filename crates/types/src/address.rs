@@ -4,6 +4,7 @@ use std::fmt;
 
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
+use crate::hash::prefixed_hex;
 use crate::keccak::{keccak256, Keccak256};
 
 /// A 20-byte Ethereum address.
@@ -58,13 +59,7 @@ impl Address {
 
     /// Lower-case hex with `0x` prefix (no EIP-55 checksum).
     pub fn to_hex(self) -> String {
-        let mut s = String::with_capacity(42);
-        s.push_str("0x");
-        for b in self.0 {
-            use fmt::Write;
-            write!(s, "{b:02x}").expect("writing to string cannot fail");
-        }
-        s
+        prefixed_hex(&self.0)
     }
 
     /// EIP-55 mixed-case checksum encoding.
@@ -118,6 +113,21 @@ impl fmt::Display for Address {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn to_hex_matches_per_byte_format(bytes in proptest::collection::vec(any::<u8>(), 20)) {
+            let mut raw = [0u8; 20];
+            raw.copy_from_slice(&bytes);
+            let a = Address(raw);
+            let digits: String = raw.iter().map(|b| format!("{b:02x}")).collect();
+            prop_assert_eq!(a.to_hex(), format!("0x{digits}"));
+            prop_assert_eq!(Address::from_hex(&a.to_hex()), Some(a));
+        }
+    }
 
     #[test]
     fn derive_is_deterministic_and_distinct() {

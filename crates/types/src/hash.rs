@@ -4,6 +4,21 @@ use std::fmt;
 
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
+/// Lower-case hex digits by nibble value.
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// `bytes` as lower-case hex with a `0x` prefix: two table lookups per
+/// byte, one allocation per string.
+pub(crate) fn prefixed_hex(bytes: &[u8]) -> String {
+    let mut out = Vec::with_capacity(2 + 2 * bytes.len());
+    out.extend_from_slice(b"0x");
+    for &b in bytes {
+        out.push(HEX_DIGITS[usize::from(b >> 4)]);
+        out.push(HEX_DIGITS[usize::from(b & 0x0f)]);
+    }
+    String::from_utf8(out).expect("hex digits are ASCII")
+}
+
 /// A 32-byte hash value (keccak-256 output).
 ///
 /// Serializes as a `0x`-prefixed hex string so it can be used as a JSON
@@ -30,13 +45,7 @@ impl Hash32 {
 
     /// Lower-case hex with `0x` prefix.
     pub fn to_hex(self) -> String {
-        let mut s = String::with_capacity(66);
-        s.push_str("0x");
-        for b in self.0 {
-            use fmt::Write;
-            write!(s, "{b:02x}").expect("writing to string cannot fail");
-        }
-        s
+        prefixed_hex(&self.0)
     }
 
     /// Parses a `0x`-prefixed (or bare) 64-digit hex string.
@@ -131,6 +140,33 @@ hash_newtype! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The per-byte `format!` encoding the table replaced.
+    fn formatted_hex(bytes: &[u8]) -> String {
+        let digits: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        format!("0x{digits}")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn to_hex_matches_per_byte_format(bytes in proptest::collection::vec(any::<u8>(), 32)) {
+            let mut raw = [0u8; 32];
+            raw.copy_from_slice(&bytes);
+            let hash = Hash32(raw);
+            prop_assert_eq!(hash.to_hex(), formatted_hex(&raw));
+            prop_assert_eq!(Hash32::from_hex(&hash.to_hex()), Some(hash));
+        }
+    }
+
+    #[test]
+    fn to_hex_covers_every_byte_value() {
+        for b in 0..=255u8 {
+            assert_eq!(Hash32([b; 32]).to_hex(), formatted_hex(&[b; 32]));
+        }
+    }
 
     #[test]
     fn hex_round_trip() {

@@ -3,15 +3,20 @@
 //! byte-identical to an uninterrupted run — under every named chaos
 //! profile, at kill points covering every collection phase, across
 //! mismatched kill/resume thread counts, through multi-crash chains, and
-//! in the face of a torn staging file or an outright corrupt checkpoint
-//! (which must degrade to a clean full crawl, never a panic or a
-//! mis-splice).
+//! in the face of a torn staging file, an outright corrupt checkpoint or
+//! one of an older schema version (which must degrade to a clean full
+//! crawl, never a panic or a mis-splice).
 
 use std::path::PathBuf;
 
-use ens_dropcatch_suite::analysis::{
-    CheckpointSpec, CollectError, CrawlConfig, Dataset, FailurePolicy, Metrics,
+use ens_dropcatch_suite::analysis::checkpoint::{
+    config_fingerprint, load_for_resume, CheckpointLoad, CrawlCheckpoint,
 };
+use ens_dropcatch_suite::analysis::{
+    CheckpointSpec, CollectError, CommittedShard, CrawlConfig, Crawler, Dataset, FailurePolicy,
+    Metrics, StorageError,
+};
+use ens_dropcatch_suite::columnar::{ColumnarError, FileBuilder, PutLe};
 use ens_dropcatch_suite::subgraph::SubgraphConfig;
 use ens_dropcatch_suite::types::{FaultKind, FaultProfile, KillSwitch};
 use ens_dropcatch_suite::workload::{World, WorldConfig};
@@ -244,6 +249,66 @@ fn a_corrupt_checkpoint_falls_back_to_a_clean_full_crawl() {
     assert_eq!(snap.counter("checkpoint/corrupt_fallback"), 1);
     assert_eq!(snap.counter("checkpoint/loads"), 0, "nothing was spliced");
     assert_eq!(snap.counter("checkpoint/skipped_pages"), 0);
+}
+
+#[test]
+fn a_version_1_json_checkpoint_is_discarded_and_the_crawl_starts_clean() {
+    let world = world();
+    let profile = Some(FaultProfile::named("mixed", 4242).unwrap());
+    let (expected, _) = baseline(&world, profile.clone());
+    let config = config(profile.clone(), 1);
+    let fingerprint = config_fingerprint(&config, world.observation_end(), 0);
+
+    // Schema 1 stored each shard as a JSON blob. Build such a file by
+    // hand: a real committed subgraph shard, the run's own fingerprint,
+    // so only the schema version can disqualify it.
+    let sg = world.subgraph(SubgraphConfig::lossless());
+    let crawled = Crawler::with_page_size(config.subgraph_page_size)
+        .crawl(&sg)
+        .expect("clean crawl");
+    let shard = CommittedShard {
+        items: crawled.items,
+        stats: crawled.stats,
+        gaps: crawled.gaps,
+    };
+    let blob = serde_json::to_string(&shard).unwrap().into_bytes();
+    let mut header = Vec::new();
+    header.put_u32(1);
+    header.put_u64(fingerprint);
+    let mut subgraph = Vec::new();
+    subgraph.put_u32(1);
+    subgraph.put_u64(0);
+    subgraph.put_u32(blob.len() as u32);
+    subgraph.put_bytes(&blob);
+    let empty = 0u32.to_le_bytes().to_vec();
+    let mut file = FileBuilder::new();
+    file.add(64, header);
+    file.add(65, subgraph);
+    file.add(66, empty.clone());
+    file.add(67, empty);
+    let v1 = file.finish();
+    assert!(CrawlCheckpoint::sniff(&v1));
+    assert!(matches!(
+        CrawlCheckpoint::from_bytes(&v1),
+        Err(StorageError::Columnar(ColumnarError::UnsupportedVersion(1)))
+    ));
+
+    let path = temp_path("schema-v1");
+    std::fs::write(&path, &v1).unwrap();
+    assert!(matches!(
+        load_for_resume(&path, fingerprint),
+        CheckpointLoad::DiscardedCorrupt(_)
+    ));
+    let metrics = Metrics::new();
+    let spec = CheckpointSpec::new(&path).every(4).resuming();
+    let got = attempt(&world, profile, 1, &spec, None, &metrics)
+        .expect("a v1 checkpoint degrades to a full crawl");
+    assert_eq!(got, expected, "the clean crawl must match plain collection");
+    let snap = metrics.snapshot();
+    assert_eq!(snap.counter("checkpoint/corrupt_fallback"), 1);
+    assert_eq!(snap.counter("checkpoint/loads"), 0, "nothing was spliced");
+    assert_eq!(snap.counter("checkpoint/skipped_pages"), 0);
+    assert!(!path.exists(), "the completed run replaced the v1 chain");
 }
 
 #[test]
